@@ -237,6 +237,24 @@ int Run(int argc, char** argv) {
                    [&] { MatMul(tall_in256, tall_w256, mm_out); },
                    [&] { return TensorBytes(mm_out); }});
 
+  // The weight-gradient pair: forward X·W against backward dW = Xᵀ·dZ
+  // at the same FLOPs. Tall enough in --quick mode too that X and dZ
+  // (4 MB each) spill out of L2: at 2,048 rows both operands stay
+  // cache-resident and a k loop that re-streams them per output block
+  // looks free.
+  const size_t grad_m = quick ? 16384 : 65536;
+  Tensor grad_x(grad_m, 64), grad_w(64, 64), grad_dz(grad_m, 64);
+  FillRandom(grad_x, rng);
+  FillRandom(grad_w, rng);
+  FillRandom(grad_dz, rng);
+  std::snprintf(shape, sizeof(shape), "%zux64x64", grad_m);
+  cases.push_back({"matmul_tall_64_64", shape, no_reset,
+                   [&] { MatMul(grad_x, grad_w, mm_out); },
+                   [&] { return TensorBytes(mm_out); }});
+  cases.push_back({"matmul_ta_tall_64_64", shape, no_reset,
+                   [&] { MatMulTransA(grad_x, grad_dz, mm_out); },
+                   [&] { return TensorBytes(mm_out); }});
+
   std::snprintf(shape, sizeof(shape), "%ud deg~%u dim=%u", agg_dst,
                 agg_deg, feat_dim);
   cases.push_back({"agg_self", shape, no_reset,

@@ -29,7 +29,7 @@ const Tensor& Linear::Forward(const Tensor& x) {
   return output_;
 }
 
-Tensor Linear::Backward(const Tensor& d_out) {
+Tensor Linear::Backward(const Tensor& d_out, bool input_grad) {
   Tensor dz = d_out;
   if (relu_) ReluBackwardInPlace(dz, output_);
   Tensor dw;
@@ -39,7 +39,7 @@ Tensor Linear::Backward(const Tensor& d_out) {
   SumRows(dz, db);
   Axpy(1.0f, db, bias_.grad);
   Tensor dx;
-  MatMulTransB(dz, weight_.value, dx);
+  if (input_grad) MatMulTransB(dz, weight_.value, dx);
   return dx;
 }
 
@@ -59,7 +59,8 @@ const Tensor& GcnConv::Forward(const SampleLayer& layer, const Tensor& src) {
   return output_;
 }
 
-Tensor GcnConv::Backward(const SampleLayer& layer, const Tensor& d_out) {
+Tensor GcnConv::Backward(const SampleLayer& layer, const Tensor& d_out,
+                         bool input_grad) {
   Tensor dz = d_out;
   if (relu_) ReluBackwardInPlace(dz, output_);
   Tensor dw;
@@ -68,6 +69,7 @@ Tensor GcnConv::Backward(const SampleLayer& layer, const Tensor& d_out) {
   Tensor db;
   SumRows(dz, db);
   Axpy(1.0f, db, bias_.grad);
+  if (!input_grad) return {};
   Tensor d_agg;
   MatMulTransB(dz, weight_.value, d_agg);
   Tensor d_src(layer.num_src, weight_.value.rows());
@@ -113,7 +115,8 @@ const Tensor& SageConv::Forward(const SampleLayer& layer, const Tensor& src) {
   return output_;
 }
 
-Tensor SageConv::Backward(const SampleLayer& layer, const Tensor& d_out) {
+Tensor SageConv::Backward(const SampleLayer& layer, const Tensor& d_out,
+                          bool input_grad) {
   Tensor dz = d_out;
   if (relu_) ReluBackwardInPlace(dz, output_);
 
@@ -126,6 +129,7 @@ Tensor SageConv::Backward(const SampleLayer& layer, const Tensor& d_out) {
   Tensor db;
   SumRows(dz, db);
   Axpy(1.0f, db, bias_.grad);
+  if (!input_grad) return {};
 
   const size_t in_dim = weight_self_.value.rows();
   Tensor d_src(layer.num_src, in_dim);

@@ -24,8 +24,11 @@ class Linear {
   const Tensor& Forward(const Tensor& x);
 
   /// Given dLoss/dOutput, accumulates weight grads and returns
-  /// dLoss/dInput.
-  Tensor Backward(const Tensor& d_out);
+  /// dLoss/dInput. With `input_grad` false the input gradient is not
+  /// computed and an empty tensor is returned: a model's first layer
+  /// reads the gathered feature block, which has nothing upstream to
+  /// train.
+  Tensor Backward(const Tensor& d_out, bool input_grad);
 
   std::vector<Parameter*> Parameters() { return {&weight_, &bias_}; }
   size_t in_dim() const { return weight_.value.rows(); }
@@ -49,8 +52,11 @@ class GcnConv {
   /// `src` is [layer.num_src x in_dim]; returns [layer.num_dst x out_dim].
   const Tensor& Forward(const SampleLayer& layer, const Tensor& src);
 
-  /// Returns dLoss/dSrc [num_src x in_dim].
-  Tensor Backward(const SampleLayer& layer, const Tensor& d_out);
+  /// Accumulates the parameter gradients and returns dLoss/dSrc
+  /// [num_src x in_dim], or an empty tensor when `input_grad` is false
+  /// (see Linear::Backward).
+  Tensor Backward(const SampleLayer& layer, const Tensor& d_out,
+                  bool input_grad);
 
   std::vector<Parameter*> Parameters() { return {&weight_, &bias_}; }
 
@@ -71,7 +77,9 @@ class SageConv {
            Rng& rng);
 
   const Tensor& Forward(const SampleLayer& layer, const Tensor& src);
-  Tensor Backward(const SampleLayer& layer, const Tensor& d_out);
+  /// Same contract as GcnConv::Backward.
+  Tensor Backward(const SampleLayer& layer, const Tensor& d_out,
+                  bool input_grad);
 
   std::vector<Parameter*> Parameters() {
     return {&weight_self_, &weight_neigh_, &bias_};

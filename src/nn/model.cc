@@ -66,11 +66,12 @@ const Tensor& Gcn::Forward(const SampledSubgraph& sg, const Tensor& input,
 void Gcn::Backward(const SampledSubgraph& sg, const Tensor& d_logits) {
   Tensor grad = d_logits;
   for (auto it = mlp_.rbegin(); it != mlp_.rend(); ++it) {
-    grad = it->Backward(grad);
+    grad = it->Backward(grad, /*input_grad=*/true);
   }
+  // Conv layer 0 reads the gathered input features: no gradient for them.
   for (size_t l = convs_.size(); l-- > 0;) {
     dropouts_[l].Backward(grad);
-    grad = convs_[l].Backward(sg.layers[l], grad);
+    grad = convs_[l].Backward(sg.layers[l], grad, /*input_grad=*/l > 0);
   }
 }
 
@@ -118,11 +119,12 @@ const Tensor& GraphSage::Forward(const SampledSubgraph& sg,
 void GraphSage::Backward(const SampledSubgraph& sg, const Tensor& d_logits) {
   Tensor grad = d_logits;
   for (auto it = mlp_.rbegin(); it != mlp_.rend(); ++it) {
-    grad = it->Backward(grad);
+    grad = it->Backward(grad, /*input_grad=*/true);
   }
+  // Conv layer 0 reads the gathered input features: no gradient for them.
   for (size_t l = convs_.size(); l-- > 0;) {
     dropouts_[l].Backward(grad);
-    grad = convs_[l].Backward(sg.layers[l], grad);
+    grad = convs_[l].Backward(sg.layers[l], grad, /*input_grad=*/l > 0);
   }
 }
 
@@ -172,8 +174,9 @@ const Tensor& Mlp::Forward(const SampledSubgraph& sg, const Tensor& input,
 
 void Mlp::Backward(const SampledSubgraph& /*sg*/, const Tensor& d_logits) {
   Tensor grad = d_logits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = it->Backward(grad);
+  // The first layer reads the seed features: no gradient for them.
+  for (size_t l = layers_.size(); l-- > 0;) {
+    grad = layers_[l].Backward(grad, /*input_grad=*/l > 0);
   }
 }
 

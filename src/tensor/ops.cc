@@ -42,11 +42,23 @@ void MatMulTransA(const Tensor& a, const Tensor& b, Tensor& out) {
   if (k == 0 || m == 0 || n == 0) return;
   const SimdKernels& simd = Simd();
   // Same contract as MatMul; only the A(i, kk) addressing differs
-  // (A is [k x m], read column-wise via broadcasts).
+  // (A is [k x m], read column-wise via broadcasts). The reduction runs
+  // over the tall dimension here (dW = Xᵀ·dZ sums over batch rows), so
+  // the kk loop is cut into ascending slabs: one slab of A and of B
+  // (~64 KB each at 64 columns) stays in cache while every register
+  // block of the tile consumes it, instead of every block re-streaming
+  // all k rows from memory. The tile loads out[i, j] and stores it
+  // back, so slab after slab continues each element's ascending-kk add
+  // chain exactly: same bits as one unblocked pass.
+  constexpr size_t kSlabRows = 256;
   ParallelFor2D(m, n, /*row_tile=*/64, /*col_tile=*/512,
                 [&](size_t i0, size_t i1, size_t j0, size_t j1) {
-                  simd.gemm_tile_ta(a.data(), m, b.data(), n, out.data(),
-                                    n, i0, i1, j0, j1, k);
+                  for (size_t k0 = 0; k0 < k; k0 += kSlabRows) {
+                    simd.gemm_tile_ta(a.data() + k0 * m, m,
+                                      b.data() + k0 * n, n, out.data(), n,
+                                      i0, i1, j0, j1,
+                                      std::min(kSlabRows, k - k0));
+                  }
                 });
 }
 

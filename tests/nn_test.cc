@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 
 #include "common/rng.h"
 #include "graph/csr_graph.h"
@@ -196,7 +198,7 @@ TEST(LayerGradTest, LinearNoReluCoordinateGradients) {
   const Tensor& logits = layer.Forward(x);
   Tensor d_logits;
   SoftmaxCrossEntropy(logits, labels, d_logits);
-  layer.Backward(d_logits);
+  layer.Backward(d_logits, /*input_grad=*/false);
 
   const double eps = 1e-2;
   for (Parameter* p : layer.Parameters()) {
@@ -230,7 +232,7 @@ TEST(LayerGradTest, GcnConvNoReluCoordinateGradients) {
   const Tensor& logits = conv.Forward(block, src);
   Tensor d_logits;
   SoftmaxCrossEntropy(logits, labels, d_logits);
-  conv.Backward(block, d_logits);
+  conv.Backward(block, d_logits, /*input_grad=*/false);
 
   const double eps = 1e-2;
   for (Parameter* p : conv.Parameters()) {
@@ -264,7 +266,7 @@ TEST(LayerGradTest, SageConvNoReluCoordinateGradients) {
   const Tensor& logits = conv.Forward(block, src);
   Tensor d_logits;
   SoftmaxCrossEntropy(logits, labels, d_logits);
-  conv.Backward(block, d_logits);
+  conv.Backward(block, d_logits, /*input_grad=*/false);
 
   const double eps = 1e-2;
   for (Parameter* p : conv.Parameters()) {
@@ -279,6 +281,102 @@ TEST(LayerGradTest, SageConvNoReluCoordinateGradients) {
           << p->name << "[" << idx << "]";
     }
   }
+}
+
+/// Shared body of the input-gradient tests. `forward(x)` returns the
+/// layer's logits for input `x`; `backward(d_logits, input_grad)` runs
+/// the layer's Backward. Checks that skipping the input gradient leaves
+/// every parameter gradient bit-identical and returns an empty tensor,
+/// and that the requested input gradient matches per-coordinate central
+/// differences (the layers are built ReLU-free, so no kinks).
+void CheckInputGradient(
+    const std::vector<Parameter*>& params, Tensor& x,
+    const std::vector<int32_t>& labels,
+    const std::function<const Tensor&(const Tensor&)>& forward,
+    const std::function<Tensor(const Tensor&, bool)>& backward) {
+  auto run = [&](bool input_grad, std::vector<float>& param_grads) {
+    for (Parameter* p : params) p->ZeroGrad();
+    Tensor d_logits;
+    SoftmaxCrossEntropy(forward(x), labels, d_logits);
+    Tensor dx = backward(d_logits, input_grad);
+    param_grads.clear();
+    for (Parameter* p : params) {
+      param_grads.insert(param_grads.end(), p->grad.data(),
+                         p->grad.data() + p->grad.size());
+    }
+    return dx;
+  };
+  std::vector<float> with_dx, without_dx;
+  const Tensor dx = run(/*input_grad=*/true, with_dx);
+  const Tensor skipped = run(/*input_grad=*/false, without_dx);
+  EXPECT_TRUE(skipped.empty());
+  ASSERT_EQ(with_dx.size(), without_dx.size());
+  EXPECT_EQ(std::memcmp(with_dx.data(), without_dx.data(),
+                        with_dx.size() * sizeof(float)),
+            0);
+
+  ASSERT_EQ(dx.rows(), x.rows());
+  ASSERT_EQ(dx.cols(), x.cols());
+  auto loss_fn = [&]() {
+    Tensor unused;
+    return SoftmaxCrossEntropy(forward(x), labels, unused);
+  };
+  const double eps = 1e-2;
+  for (size_t idx = 0; idx < x.size(); ++idx) {
+    const float original = x.data()[idx];
+    x.data()[idx] = original + static_cast<float>(eps);
+    const double lp = loss_fn();
+    x.data()[idx] = original - static_cast<float>(eps);
+    const double lm = loss_fn();
+    x.data()[idx] = original;
+    EXPECT_NEAR(dx.data()[idx], (lp - lm) / (2 * eps), 2e-3)
+        << "input[" << idx << "]";
+  }
+}
+
+TEST(LayerGradTest, LinearInputGradient) {
+  Rng rng(33);
+  Linear layer("lin", 5, 3, /*relu=*/false, rng);
+  Tensor x(4, 5);
+  XavierInit(x, rng);
+  CheckInputGradient(
+      layer.Parameters(), x, {2, 0, 1, 1},
+      [&](const Tensor& in) -> const Tensor& { return layer.Forward(in); },
+      [&](const Tensor& d, bool input_grad) {
+        return layer.Backward(d, input_grad);
+      });
+}
+
+TEST(LayerGradTest, GcnConvInputGradient) {
+  Rng rng(34);
+  SampleLayer block = TinyLayer();
+  GcnConv conv("conv", 4, 3, /*relu=*/false, rng);
+  Tensor src(4, 4);
+  XavierInit(src, rng);
+  CheckInputGradient(
+      conv.Parameters(), src, {2, 1},
+      [&](const Tensor& in) -> const Tensor& {
+        return conv.Forward(block, in);
+      },
+      [&](const Tensor& d, bool input_grad) {
+        return conv.Backward(block, d, input_grad);
+      });
+}
+
+TEST(LayerGradTest, SageConvInputGradient) {
+  Rng rng(35);
+  SampleLayer block = TinyLayer();
+  SageConv conv("sage", 4, 3, /*relu=*/false, rng);
+  Tensor src(4, 4);
+  XavierInit(src, rng);
+  CheckInputGradient(
+      conv.Parameters(), src, {1, 0},
+      [&](const Tensor& in) -> const Tensor& {
+        return conv.Forward(block, in);
+      },
+      [&](const Tensor& d, bool input_grad) {
+        return conv.Backward(block, d, input_grad);
+      });
 }
 
 TEST(ModelTest, GcnGradientsMatchNumerical) {

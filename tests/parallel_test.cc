@@ -257,6 +257,13 @@ TEST(KernelByteIdentityTest, MatMulFamily) {
                       [&] { return Bytes(out); });
   ExpectByteIdentical([&] { MatMulTransB(a, tb, out); },
                       [&] { return Bytes(out); });
+  // Weight-gradient shape: k = 777 rows cross several k slabs with a
+  // remainder, and m = 133 splits into three row tiles across threads.
+  Tensor x(777, 133), dz(777, 19);
+  FillRandom(x, rng);
+  FillRandom(dz, rng);
+  ExpectByteIdentical([&] { MatMulTransA(x, dz, out); },
+                      [&] { return Bytes(out); });
 }
 
 TEST(KernelByteIdentityTest, AggregateForward) {

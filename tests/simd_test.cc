@@ -111,10 +111,12 @@ void ExpectBitIdenticalAcrossTiers(
 struct MmShape {
   size_t m, k, n;
 };
+// {33, 777, 19}: a k that spans three of MatMulTransA's 256-row slabs
+// plus a remainder, with m and n off the 4x16 register block.
 const MmShape kMmShapes[] = {
     {17, 13, 7},  {64, 256, 16}, {33, 1, 9},  {1, 40, 1},
     {8, 8, 8},    {129, 65, 31}, {0, 5, 4},   {5, 0, 4},
-    {5, 4, 0},
+    {5, 4, 0},    {33, 777, 19},
 };
 
 TEST(SimdTest, ScalarTierAlwaysCompiled) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "tensor/ops.h"
@@ -64,6 +65,33 @@ TEST(OpsTest, MatMulTransposesAgree) {
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_NEAR(expected.data()[i], actual.data()[i], 1e-5);
   }
+}
+
+TEST(OpsTest, MatMulTransAMatchesAscendingKLoopBytes) {
+  // The specified result of every GEMM is the plain ascending-kk sum per
+  // element (no fma: the build uses -ffp-contract=off). k = 777 crosses
+  // several of MatMulTransA's k slabs plus a remainder; m = 33 and
+  // n = 19 leave partial register blocks.
+  const size_t k = 777, m = 33, n = 19;
+  Rng rng(3);
+  Tensor a(k, m), b(k, n);
+  XavierInit(a, rng);
+  XavierInit(b, rng);
+  Tensor expected(m, n);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      float sum = 0.0f;
+      for (size_t kk = 0; kk < k; ++kk) sum += a.at(kk, i) * b.at(kk, j);
+      expected.at(i, j) = sum;
+    }
+  }
+  Tensor actual;
+  MatMulTransA(a, b, actual);
+  ASSERT_EQ(actual.rows(), m);
+  ASSERT_EQ(actual.cols(), n);
+  EXPECT_EQ(std::memcmp(expected.data(), actual.data(),
+                        expected.size() * sizeof(float)),
+            0);
 }
 
 TEST(OpsTest, MatMulTransBAgrees) {

@@ -17,7 +17,13 @@ gate is stable across runner hardware):
    the looser quick limit still catches it). The packed-B layout is what
    holds this ratio down; losing it (e.g. someone "simplifies" the
    transpose away) reintroduces the strided-read cliff.
-3. For every kernel present in both files, the highest-thread-count
+3. matmul_ta_tall_64_64 serial time (the weight gradient dW = X^T dZ)
+   must stay within TA_TALL_RATIO_MAX of matmul_tall_64_64 (X W, same
+   FLOPs). Both are tall enough to spill out of L2 in either mode, so
+   a k loop that re-streams the whole of X and dZ once per output
+   block (~5x at 16k rows, ~7.6x at 64k) fails it; the k-blocked
+   kernel sits near 1.3x.
+4. For every kernel present in both files, the highest-thread-count
    speedup must not fall below SPEEDUP_KEEP of the baseline speedup.
    Applied only where the baseline itself scales (speedup >=
    SCALING_MIN): on few-core runners every speedup sits at ~1x inside
@@ -31,6 +37,7 @@ import sys
 
 TB_RATIO_MAX_FULL = 1.5
 TB_RATIO_MAX_QUICK = 2.0
+TA_TALL_RATIO_MAX = 2.0
 SPEEDUP_KEEP = 0.6
 SCALING_MIN = 1.2
 
@@ -72,16 +79,22 @@ def main(argv):
 
     tb_limit = (TB_RATIO_MAX_QUICK if fresh_doc.get("quick", False)
                 else TB_RATIO_MAX_FULL)
-    if "matmul" in fresh and "matmul_tb" in fresh:
-        mm = fresh["matmul"]["serial_ms"]
-        tb = fresh["matmul_tb"]["serial_ms"]
-        if mm > 0 and tb > tb_limit * mm:
+    ratio_gates = [
+        ("matmul_tb", "matmul", tb_limit, "the packed-B path"),
+        ("matmul_ta_tall_64_64", "matmul_tall_64_64", TA_TALL_RATIO_MAX,
+         "the k-blocked weight-gradient path"),
+    ]
+    for slow, fast, limit, path in ratio_gates:
+        if slow not in fresh or fast not in fresh:
+            failures.append(f"fresh run is missing {fast}/{slow} kernels")
+            continue
+        ref = fresh[fast]["serial_ms"]
+        got = fresh[slow]["serial_ms"]
+        if ref > 0 and got > limit * ref:
             failures.append(
-                f"matmul_tb serial {tb:.4f}ms is {tb / mm:.2f}x matmul "
-                f"serial {mm:.4f}ms (limit {tb_limit}x): the packed-B "
-                "path has regressed")
-    else:
-        failures.append("fresh run is missing matmul/matmul_tb kernels")
+                f"{slow} serial {got:.4f}ms is {got / ref:.2f}x {fast} "
+                f"serial {ref:.4f}ms (limit {limit}x): {path} has "
+                "regressed")
 
     for name, base_kernel in sorted(baseline.items()):
         if name not in fresh:

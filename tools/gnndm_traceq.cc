@@ -9,8 +9,9 @@
 // through the virtual span graph, the reorder-ring occupancy timeline,
 // the top-k slowest spans, the Fig-2-style stage breakdown, and a
 // bottleneck verdict. --check additionally enforces the critical-path
-// invariants (path <= extent, path >= busiest lane) and exits nonzero if
-// they fail. Exit codes: 0 ok, 1 unreadable/malformed trace, 2 empty
+// invariants (path <= extent, path >= busiest lane) and that no lane is
+// busy for longer than its domain's extent, and exits nonzero if any
+// fails. Exit codes: 0 ok, 1 unreadable/malformed trace, 2 empty
 // trace, 3 --check invariant violation.
 #include <algorithm>
 #include <cctype>
@@ -307,7 +308,7 @@ bool LoadTrace(const std::string& path, TraceData* out,
 struct LaneStats {
   int64_t tid = 0;
   std::string name;
-  double busy = 0.0;
+  double busy = 0.0;  // length of the union of the lane's spans
   size_t spans = 0;
 };
 
@@ -316,24 +317,41 @@ struct DomainStats {
   double end = 0.0;
   std::vector<LaneStats> lanes;
   double extent() const { return std::max(0.0, end - begin); }
+  double utilization(const LaneStats& lane) const {
+    return extent() > 0.0 ? lane.busy / extent() : 0.0;
+  }
 };
 
+/// Busy time is the measure of the union of a lane's span intervals:
+/// wall spans nest (trainer.epoch contains trainer.nn), and summing
+/// their durations would count the nested time twice.
 DomainStats LaneUtilization(const TraceData& trace, bool wall) {
   DomainStats out;
-  std::map<int64_t, LaneStats> lanes;
+  std::map<int64_t, std::vector<std::pair<double, double>>> intervals;
   bool first = true;
   for (const Span& s : trace.spans) {
     if (s.wall != wall) continue;
-    LaneStats& lane = lanes[s.tid];
-    lane.tid = s.tid;
-    lane.busy += s.dur;
-    ++lane.spans;
+    const double end = s.ts + std::max(0.0, s.dur);
+    intervals[s.tid].emplace_back(s.ts, end);
     if (first || s.ts < out.begin) out.begin = s.ts;
-    if (first || s.ts + s.dur > out.end) out.end = s.ts + s.dur;
+    if (first || end > out.end) out.end = end;
     first = false;
   }
   const int64_t pid = wall ? 1 : 2;
-  for (auto& [tid, lane] : lanes) {
+  for (auto& [tid, spans] : intervals) {
+    LaneStats lane;
+    lane.tid = tid;
+    lane.spans = spans.size();
+    std::sort(spans.begin(), spans.end());
+    double run_begin = spans[0].first, run_end = spans[0].second;
+    for (const auto& [b, e] : spans) {
+      if (b > run_end) {
+        lane.busy += run_end - run_begin;
+        run_begin = b;
+      }
+      run_end = std::max(run_end, e);
+    }
+    lane.busy += run_end - run_begin;
     auto it = trace.lane_names.find({pid, tid});
     lane.name = it != trace.lane_names.end()
                     ? it->second
@@ -506,7 +524,7 @@ std::string LanesJson(const DomainStats& d) {
     out += "{\"tid\": " + std::to_string(lane.tid) + ", \"name\": \"" +
            JsonEscape(lane.name) + "\", \"busy_seconds\": " +
            JsonNum(lane.busy) + ", \"utilization\": " +
-           JsonNum(d.extent() > 0.0 ? lane.busy / d.extent() : 0.0) +
+           JsonNum(d.utilization(lane)) +
            ", \"spans\": " + std::to_string(lane.spans) + "}";
   }
   return out + "]";
@@ -520,8 +538,8 @@ int Main(int argc, char** argv) {
         "  --trace=FILE.json  trace to analyze (required)\n"
         "  --json=FILE.json   also write the report as JSON\n"
         "  --top=N            slowest spans to list (default 10)\n"
-        "  --check            enforce critical-path invariants (exit 3\n"
-        "                     on violation)\n"
+        "  --check            enforce critical-path and lane-utilization\n"
+        "                     invariants (exit 3 on violation)\n"
         "exit codes: 0 ok, 1 malformed trace, 2 empty trace, 3 check "
         "failed\n");
     return flags.Has("help") ? 0 : 1;
@@ -553,6 +571,13 @@ int Main(int argc, char** argv) {
       critical.seconds <= virt.extent() + tolerance;
   const bool path_ge_max_lane =
       critical.seconds >= max_lane_busy - tolerance;
+  // A lane is busy at most for the whole extent of its domain.
+  bool util_le_one = true;
+  for (const DomainStats* d : {&wall, &virt}) {
+    for (const LaneStats& lane : d->lanes) {
+      if (lane.busy > d->extent() + kEps) util_le_one = false;
+    }
+  }
 
   // --- Text report ---
   std::printf("trace %s: %zu events, %zu spans, %zu counter samples\n",
@@ -567,9 +592,7 @@ int Main(int argc, char** argv) {
     for (const LaneStats& lane : d.lanes) {
       table.AddRow({std::to_string(lane.tid), lane.name,
                     Table::Num(lane.busy, 6),
-                    Table::Num(d.extent() > 0.0 ? lane.busy / d.extent()
-                                                : 0.0,
-                               3),
+                    Table::Num(d.utilization(lane), 3),
                     std::to_string(lane.spans)});
     }
     std::printf("%s", table.ToAscii().c_str());
@@ -627,11 +650,12 @@ int Main(int argc, char** argv) {
     std::printf("%s", table.ToAscii().c_str());
   }
   std::printf("bottleneck verdict: %s\n", BottleneckName(verdict));
-  if (!path_le_extent || !path_ge_max_lane) {
-    std::printf("critical-path invariants: path<=extent %s, "
-                "path>=busiest-lane %s\n",
+  if (!path_le_extent || !path_ge_max_lane || !util_le_one) {
+    std::printf("invariants: path<=extent %s, path>=busiest-lane %s, "
+                "lane util<=1 %s\n",
                 path_le_extent ? "ok" : "VIOLATED",
-                path_ge_max_lane ? "ok" : "VIOLATED");
+                path_ge_max_lane ? "ok" : "VIOLATED",
+                util_le_one ? "ok" : "VIOLATED");
   }
 
   // --- JSON report ---
@@ -663,7 +687,9 @@ int Main(int argc, char** argv) {
     json += "\"checks\": {\"critical_path_le_extent\": " +
             std::string(path_le_extent ? "true" : "false") +
             ", \"critical_path_ge_max_lane\": " +
-            std::string(path_ge_max_lane ? "true" : "false") + "}}\n";
+            std::string(path_ge_max_lane ? "true" : "false") +
+            ", \"lane_util_le_one\": " +
+            std::string(util_le_one ? "true" : "false") + "}}\n";
     if (Status lint = telemetry::JsonLint(json); !lint.ok()) {
       std::fprintf(stderr, "error: report JSON failed lint: %s\n",
                    lint.ToString().c_str());
@@ -680,7 +706,7 @@ int Main(int argc, char** argv) {
   }
 
   if (flags.GetBool("check", false) &&
-      (!path_le_extent || !path_ge_max_lane)) {
+      (!path_le_extent || !path_ge_max_lane || !util_le_one)) {
     return 3;
   }
   return 0;
