@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <set>
 #include <tuple>
 
@@ -156,6 +157,12 @@ struct PartitionCase {
   const char* method;
   uint32_t parts;
 };
+
+// Prints "metis-ve:4". Without it gtest prints the raw bytes, method
+// pointer included, and the ctest names change from run to run.
+void PrintTo(const PartitionCase& c, std::ostream* os) {
+  *os << c.method << ':' << c.parts;
+}
 
 class PartitionPropertyTest
     : public ::testing::TestWithParam<PartitionCase> {};
