@@ -20,7 +20,7 @@
 #include "nn/model.h"
 #include "nn/optimizer.h"
 #include "partition/metis_partitioner.h"
-#include "sampling/sampled_subgraph.h"
+#include "sampling/neighbor_sampler.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "transfer/feature_cache.h"
@@ -121,11 +121,6 @@ StageTimes Trainer::ConsumeTrainingBatch(PreparedBatch& batch,
   return out.times;
 }
 
-size_t Trainer::EffectiveLoaderWorkers() const {
-  if (config_.loader_workers > 0) return config_.loader_workers;
-  return config_.async_batch_loading ? 1 : 0;
-}
-
 EpochStats Trainer::TrainEpoch() {
   TRACE_SPAN("trainer.epoch");
   EpochStats stats;
@@ -142,12 +137,12 @@ EpochStats Trainer::TrainEpoch() {
   // whether batches are prepared inline or by N workers at any prefetch
   // depth — the pluggable data plane's contract.
   BatchSourceOptions source_options;
-  source_options.workers = EffectiveLoaderWorkers();
+  source_options.workers = config_.loader_workers;
   source_options.queue_depth = config_.async_queue_depth;
   source_options.seed = config_.seed ^ (0xA51Cull + epoch_);
   std::unique_ptr<BatchSource> source = MakeBatchSource(
       dataset_.graph, dataset_.features, std::move(batches),
-      model_->num_hops() > 0 ? &sampler_ : nullptr, source_options);
+      BatchSampler(), source_options);
   while (auto prepared = source->Next()) {
     BatchAttribution attrib;
     stage_times.push_back(ConsumeTrainingBatch(*prepared, stats, attrib));
@@ -184,7 +179,7 @@ EpochStats Trainer::TrainEpoch() {
   }
   stats.attribution = AttributeEpoch(epoch_, batch_attribs,
                                      pipeline.total_seconds,
-                                     EffectiveLoaderWorkers());
+                                     config_.loader_workers);
   attribution_history_.push_back(stats.attribution);
   PublishAttributionMetrics(stats.attribution);
   total_seconds_ += stats.epoch_seconds;
@@ -192,72 +187,69 @@ EpochStats Trainer::TrainEpoch() {
   return stats;
 }
 
+BatchSourceOptions EvalSourceOptions(const TrainerConfig& config) {
+  BatchSourceOptions options;
+  options.workers = config.loader_workers;
+  options.queue_depth = config.async_queue_depth;
+  options.seed = config.seed ^ 0xE7A15EEDull;
+  return options;
+}
+
 // gnndm-hot
-double Trainer::EvaluateOn(const std::vector<VertexId>& vertices) {
-  if (vertices.empty()) return 0.0;
-  uint64_t correct = 0;
-  const uint32_t eval_batch = 1024;
-  // Every buffer the per-batch loop needs lives above it and is refilled
-  // in place: eval runs each epoch, and a fresh vector/Tensor per batch
-  // is exactly the per-iteration allocation hot-path-alloc bans.
-  std::vector<VertexId> batch;
+void PredictSampled(const Dataset& dataset, const NeighborSampler* sampler,
+                    GnnModel& model, const std::vector<VertexId>& vertices,
+                    const BatchSourceOptions& options,
+                    FunctionRef<void(VertexId, int32_t)> on_prediction) {
+  constexpr size_t kEvalBatch = 1024;
+  std::vector<std::vector<VertexId>> batches;
+  batches.reserve((vertices.size() + kEvalBatch - 1) / kEvalBatch);
+  for (size_t begin = 0; begin < vertices.size(); begin += kEvalBatch) {
+    const size_t end = std::min(vertices.size(), begin + kEvalBatch);
+    batches.emplace_back(vertices.begin() + begin, vertices.begin() + end);
+  }
+  std::unique_ptr<BatchSource> source =
+      MakeBatchSource(dataset.graph, dataset.features, std::move(batches),
+                      sampler, options);
+  // Refilled in place per batch (hot-path-alloc).
   std::vector<int32_t> preds;
-  SampledSubgraph sg;
-  Tensor input;
-  for (size_t begin = 0; begin < vertices.size(); begin += eval_batch) {
-    const size_t end = std::min(vertices.size(), begin + eval_batch);
-    batch.assign(vertices.begin() + begin, vertices.begin() + end);
-    if (model_->num_hops() == 0) {
-      sg.node_ids.assign(1, batch);
-    } else {
-      sg = sampler_.Sample(dataset_.graph, batch, rng_);
-    }
-    TransferEngine::Gather(sg.input_vertices(), dataset_.features, input);
-    const Tensor& logits = model_->Forward(sg, input, /*train=*/false);
-    ArgmaxRowsInto(logits, preds);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (preds[i] == dataset_.labels[batch[i]]) ++correct;
+  while (auto batch = source->Next()) {
+    ArgmaxRowsInto(model.Forward(batch->subgraph, batch->input,
+                                 /*train=*/false),
+                   preds);
+    for (size_t i = 0; i < batch->seeds.size(); ++i) {
+      on_prediction(batch->seeds[i], preds[i]);
     }
   }
-  return static_cast<double>(correct) / static_cast<double>(vertices.size());
+}
+
+const NeighborSampler* Trainer::BatchSampler() const {
+  return model_->num_hops() > 0 ? &sampler_ : nullptr;
 }
 
 double Trainer::Evaluate(const std::vector<VertexId>& vertices) {
-  return EvaluateOn(vertices);
+  if (vertices.empty()) return 0.0;
+  uint64_t correct = 0;
+  PredictSampled(dataset_, BatchSampler(), *model_, vertices,
+                 EvalSourceOptions(config_), [&](VertexId v, int32_t pred) {
+                   if (pred == dataset_.labels[v]) ++correct;
+                 });
+  return static_cast<double>(correct) / static_cast<double>(vertices.size());
 }
 
-// gnndm-hot
 ClassificationMetrics Trainer::EvaluateDetailed(
     const std::vector<VertexId>& vertices) {
   ClassificationMetrics metrics(dataset_.num_classes);
-  const uint32_t eval_batch = 1024;
-  // Reused across batches; see EvaluateOn.
-  std::vector<VertexId> batch;
-  std::vector<int32_t> preds;
-  SampledSubgraph sg;
-  Tensor input;
-  for (size_t begin = 0; begin < vertices.size(); begin += eval_batch) {
-    const size_t end = std::min(vertices.size(), begin + eval_batch);
-    batch.assign(vertices.begin() + begin, vertices.begin() + end);
-    if (model_->num_hops() == 0) {
-      sg.node_ids.assign(1, batch);
-    } else {
-      sg = sampler_.Sample(dataset_.graph, batch, rng_);
-    }
-    TransferEngine::Gather(sg.input_vertices(), dataset_.features, input);
-    const Tensor& logits = model_->Forward(sg, input, /*train=*/false);
-    ArgmaxRowsInto(logits, preds);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      metrics.Add(preds[i], dataset_.labels[batch[i]]);
-    }
-  }
+  PredictSampled(dataset_, BatchSampler(), *model_, vertices,
+                 EvalSourceOptions(config_), [&](VertexId v, int32_t pred) {
+                   metrics.Add(pred, dataset_.labels[v]);
+                 });
   return metrics;
 }
 
 std::pair<double, double> Trainer::EvaluateByDegree(
     const std::vector<VertexId>& vertices) {
   DegreeClasses classes = SplitByDegree(dataset_.graph, vertices);
-  return {EvaluateOn(classes.low), EvaluateOn(classes.high)};
+  return {Evaluate(classes.low), Evaluate(classes.high)};
 }
 
 const ConvergenceTracker& Trainer::TrainToConvergence(uint32_t max_epochs,

@@ -8,6 +8,7 @@
 
 #include "batch/batch_schedule.h"
 #include "batch/batch_selector.h"
+#include "common/function_ref.h"
 #include "common/rng.h"
 #include "core/attribution.h"
 #include "core/batch_consumer.h"
@@ -61,9 +62,6 @@ struct TrainerConfig {
   /// byte-identical at any worker count and queue depth (the BatchSource
   /// determinism contract), so both are pure throughput knobs.
   size_t loader_workers = 0;
-  /// Legacy switch: forces at least one producer worker even when
-  /// loader_workers is 0.
-  bool async_batch_loading = false;
   size_t async_queue_depth = 4;
   /// "none", "degree", or "presample".
   std::string cache_policy = "none";
@@ -111,6 +109,22 @@ struct EpochStats {
   EpochAttribution attribution;
 };
 
+/// Source options of every evaluation in a run: the run's loader workers
+/// and prefetch depth, and a seed that is a fixed function of
+/// config.seed, distinct from the per-epoch training seeds.
+BatchSourceOptions EvalSourceOptions(const TrainerConfig& config);
+
+/// The one sampled-inference loop. Splits `vertices` into 1024-vertex
+/// batches, prepares them through MakeBatchSource (batch i sampled with
+/// Rng(BatchRngSeed(options.seed, i)); `sampler` null = seed rows only),
+/// runs `model` forward in eval mode and reports each vertex's argmax
+/// class to `on_prediction`, in the order of `vertices`. The predictions
+/// are byte-identical at any options.workers / queue_depth.
+void PredictSampled(const Dataset& dataset, const NeighborSampler* sampler,
+                    GnnModel& model, const std::vector<VertexId>& vertices,
+                    const BatchSourceOptions& options,
+                    FunctionRef<void(VertexId, int32_t)> on_prediction);
+
 /// End-to-end single-worker mini-batch GNN trainer: batch selection →
 /// L-hop sampling → feature transfer (simulated device) → real NN
 /// forward/backward → optimizer step, with per-stage accounting.
@@ -123,7 +137,11 @@ class Trainer {
   /// appends virtual time to the cumulative clock.
   EpochStats TrainEpoch();
 
-  /// Sampled-inference accuracy over `vertices` (e.g. the val split).
+  /// Sampled-inference accuracy over `vertices` (e.g. the val split),
+  /// through PredictSampled with EvalSourceOptions(config). A pure
+  /// function of the model and the vertex list: the same call returns the
+  /// same value however often it is made, and evaluating never moves the
+  /// batch order of later training epochs.
   double Evaluate(const std::vector<VertexId>& vertices);
 
   /// Full per-class metrics (confusion matrix, precision/recall/F1) over
@@ -158,13 +176,14 @@ class Trainer {
   StageTimes ConsumeTrainingBatch(PreparedBatch& batch, EpochStats& stats,
                                   BatchAttribution& attrib);
 
-  /// Producer workers resolved from loader_workers/async_batch_loading.
-  size_t EffectiveLoaderWorkers() const;
-
-  double EvaluateOn(const std::vector<VertexId>& vertices);
+  /// The sampler batches go through: null for the MLP baseline, whose
+  /// batch is just its seed rows.
+  const NeighborSampler* BatchSampler() const;
 
   const Dataset& dataset_;
   TrainerConfig config_;
+  /// Epoch batch selection only; batch sampling and evaluation draw from
+  /// their own per-batch seeds, so nothing else moves this stream.
   Rng rng_;
   NeighborSampler sampler_;
   std::unique_ptr<GnnModel> model_;

@@ -36,8 +36,7 @@ DistTrainer::DistTrainer(const Dataset& dataset,
       partition_(partition),
       config_(config),
       network_(network),
-      sampler_(config.hops),
-      rng_(config.seed) {
+      sampler_(config.hops) {
   GNNDM_CHECK(partition_.assignment.size() == dataset.graph.num_vertices());
   ModelConfig model_config;
   model_config.in_dim = dataset.features.dim();
@@ -59,13 +58,14 @@ DistTrainer::DistTrainer(const Dataset& dataset,
       config.num_conv_layers, config.num_mlp_layers);
 
   workers_.resize(partition_.num_parts);
+  Rng rng(config.seed);
   for (uint32_t p = 0; p < partition_.num_parts; ++p) {
     Worker& w = workers_[p];
     w.local_train = partition_.Filter(dataset.split.train, p);
     if (p < partition_.halo.size()) {
       w.halo.insert(partition_.halo[p].begin(), partition_.halo[p].end());
     }
-    w.rng = rng_.Fork();
+    w.rng = rng.Fork();
     // Per-worker GPU feature cache, sized by the global ratio and
     // populated from this worker's own access pattern (SALIENT++ style).
     if (config.cache_policy != "none" && config.cache_ratio > 0.0 &&
@@ -273,20 +273,11 @@ DistEpochStats DistTrainer::TrainEpoch() {
 double DistTrainer::Evaluate(const std::vector<VertexId>& vertices) {
   if (vertices.empty()) return 0.0;
   uint64_t correct = 0;
-  const uint32_t eval_batch = 1024;
-  for (size_t begin = 0; begin < vertices.size(); begin += eval_batch) {
-    const size_t end = std::min(vertices.size(), begin + eval_batch);
-    std::vector<VertexId> batch(vertices.begin() + begin,
-                                vertices.begin() + end);
-    SampledSubgraph sg = sampler_.Sample(dataset_.graph, batch, rng_);
-    Tensor input;
-    TransferEngine::Gather(sg.input_vertices(), dataset_.features, input);
-    const Tensor& logits = model_->Forward(sg, input, /*train=*/false);
-    std::vector<int32_t> preds = ArgmaxRows(logits);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (preds[i] == dataset_.labels[batch[i]]) ++correct;
-    }
-  }
+  PredictSampled(dataset_, model_->num_hops() > 0 ? &sampler_ : nullptr,
+                 *model_, vertices, EvalSourceOptions(config_),
+                 [&](VertexId v, int32_t pred) {
+                   if (pred == dataset_.labels[v]) ++correct;
+                 });
   return static_cast<double>(correct) / static_cast<double>(vertices.size());
 }
 

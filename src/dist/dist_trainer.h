@@ -62,6 +62,9 @@ class DistTrainer {
               const TrainerConfig& config, const NetworkModel& network = {});
 
   DistEpochStats TrainEpoch();
+  /// Sampled-inference accuracy of the shared model, with
+  /// Trainer::Evaluate's contract: one PredictSampled pass, a pure
+  /// function of the model and `vertices`.
   double Evaluate(const std::vector<VertexId>& vertices);
   const ConvergenceTracker& TrainToConvergence(uint32_t max_epochs,
                                                uint32_t patience = 10);
@@ -107,7 +110,6 @@ class DistTrainer {
   /// serves every worker, each passing its own cache.
   std::unique_ptr<BatchConsumer> consumer_;
   std::vector<Worker> workers_;
-  Rng rng_;
   ConvergenceTracker tracker_;
   std::vector<EpochAttribution> attribution_history_;
   double total_seconds_ = 0.0;

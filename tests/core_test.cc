@@ -164,7 +164,7 @@ TEST_F(TrainerTest, ClusterSelectorInvolvesFewerVertices) {
 
 TEST_F(TrainerTest, AsyncLoaderPathTrainsEquivalently) {
   TrainerConfig async_config = SmallConfig();
-  async_config.async_batch_loading = true;
+  async_config.loader_workers = 1;
   async_config.async_queue_depth = 3;
   Trainer trainer(dataset_, async_config);
   EpochStats first = trainer.TrainEpoch();
@@ -179,7 +179,7 @@ TEST_F(TrainerTest, AsyncLoaderPathTrainsEquivalently) {
 
 TEST_F(TrainerTest, AsyncLoaderPathIsDeterministic) {
   TrainerConfig config = SmallConfig();
-  config.async_batch_loading = true;
+  config.loader_workers = 1;
   Trainer a(dataset_, config);
   Trainer b(dataset_, config);
   EpochStats ea = a.TrainEpoch();
@@ -192,41 +192,88 @@ TEST_F(TrainerTest, LoaderWorkersAreByteIdentical) {
   // The BatchSource contract end to end: training with N producer
   // workers at any prefetch depth yields bit-identical epoch stats to
   // preparing every batch inline — loss double included.
+  // Evaluation goes through the same plane, so per-epoch validation
+  // accuracy is compared too.
+  struct Epoch {
+    EpochStats stats;
+    double val_acc = 0.0;
+  };
   auto run = [&](size_t workers, size_t depth) {
     TrainerConfig config = SmallConfig();
     config.loader_workers = workers;
     config.async_queue_depth = depth;
     Trainer trainer(dataset_, config);
-    std::vector<EpochStats> epochs;
-    for (int e = 0; e < 2; ++e) epochs.push_back(trainer.TrainEpoch());
+    std::vector<Epoch> epochs;
+    for (int e = 0; e < 2; ++e) {
+      EpochStats stats = trainer.TrainEpoch();
+      epochs.push_back({stats, trainer.Evaluate(dataset_.split.val)});
+    }
     return epochs;
   };
-  const std::vector<EpochStats> inline_run = run(0, 1);
+  const std::vector<Epoch> inline_epochs = run(0, 1);
   for (auto [workers, depth] :
        {std::pair<size_t, size_t>{1, 1}, {4, 2}, {4, 16}}) {
-    const std::vector<EpochStats> worker_run = run(workers, depth);
-    ASSERT_EQ(worker_run.size(), inline_run.size());
-    for (size_t e = 0; e < inline_run.size(); ++e) {
-      EXPECT_DOUBLE_EQ(worker_run[e].train_loss, inline_run[e].train_loss);
-      EXPECT_EQ(worker_run[e].involved_vertices,
-                inline_run[e].involved_vertices);
-      EXPECT_EQ(worker_run[e].involved_edges, inline_run[e].involved_edges);
-      EXPECT_EQ(worker_run[e].bytes_transferred,
-                inline_run[e].bytes_transferred);
-      EXPECT_DOUBLE_EQ(worker_run[e].epoch_seconds,
-                       inline_run[e].epoch_seconds);
+    const std::vector<Epoch> worker_epochs = run(workers, depth);
+    ASSERT_EQ(worker_epochs.size(), inline_epochs.size());
+    for (size_t e = 0; e < inline_epochs.size(); ++e) {
+      EXPECT_EQ(worker_epochs[e].val_acc, inline_epochs[e].val_acc);
+      const EpochStats& w = worker_epochs[e].stats;
+      const EpochStats& i = inline_epochs[e].stats;
+      EXPECT_DOUBLE_EQ(w.train_loss, i.train_loss);
+      EXPECT_EQ(w.involved_vertices, i.involved_vertices);
+      EXPECT_EQ(w.involved_edges, i.involved_edges);
+      EXPECT_EQ(w.bytes_transferred, i.bytes_transferred);
+      EXPECT_DOUBLE_EQ(w.epoch_seconds, i.epoch_seconds);
     }
   }
+}
+
+TEST_F(TrainerTest, EvaluationDoesNotChangeTraining) {
+  // Evaluation samples from its own seed, never from the stream that
+  // selects training batches: interleaving it must not move a bit.
+  auto run = [&](bool evaluate) {
+    Trainer trainer(dataset_, SmallConfig());
+    std::vector<EpochStats> epochs;
+    for (int e = 0; e < 3; ++e) {
+      epochs.push_back(trainer.TrainEpoch());
+      if (evaluate) (void)trainer.Evaluate(dataset_.split.val);
+    }
+    return epochs;
+  };
+  const std::vector<EpochStats> plain = run(false);
+  const std::vector<EpochStats> evaluated = run(true);
+  ASSERT_EQ(plain.size(), evaluated.size());
+  for (size_t e = 0; e < plain.size(); ++e) {
+    const EpochStats& a = plain[e];
+    const EpochStats& b = evaluated[e];
+    EXPECT_EQ(a.train_loss, b.train_loss) << "epoch " << e;
+    EXPECT_EQ(a.epoch_seconds, b.epoch_seconds);
+    EXPECT_EQ(a.batch_prep_seconds, b.batch_prep_seconds);
+    EXPECT_EQ(a.extract_seconds, b.extract_seconds);
+    EXPECT_EQ(a.load_seconds, b.load_seconds);
+    EXPECT_EQ(a.nn_seconds, b.nn_seconds);
+    EXPECT_EQ(a.involved_vertices, b.involved_vertices);
+    EXPECT_EQ(a.involved_edges, b.involved_edges);
+    EXPECT_EQ(a.bytes_transferred, b.bytes_transferred);
+    EXPECT_EQ(a.rows_from_cache, b.rows_from_cache);
+    EXPECT_EQ(a.rows_requested, b.rows_requested);
+  }
+}
+
+TEST_F(TrainerTest, EvaluateIsRepeatable) {
+  Trainer trainer(dataset_, SmallConfig());
+  trainer.TrainEpoch();
+  const double first = trainer.Evaluate(dataset_.split.val);
+  EXPECT_EQ(trainer.Evaluate(dataset_.split.val), first);
 }
 
 TEST_F(TrainerTest, EvaluateDetailedIsConsistentWithEvaluate) {
   Trainer trainer(dataset_, SmallConfig());
   trainer.TrainEpoch();
-  // Detailed evaluation resamples, so compare against its own accuracy
-  // invariants rather than a second Evaluate() call.
   ClassificationMetrics metrics =
       trainer.EvaluateDetailed(dataset_.split.val);
   EXPECT_EQ(metrics.total(), dataset_.split.val.size());
+  EXPECT_EQ(metrics.Accuracy(), trainer.Evaluate(dataset_.split.val));
   EXPECT_GE(metrics.Accuracy(), 0.0);
   EXPECT_LE(metrics.Accuracy(), 1.0);
   EXPECT_GE(metrics.MacroF1(), 0.0);

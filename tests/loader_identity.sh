@@ -2,7 +2,8 @@
 # End-to-end check of the BatchSource determinism contract: gnndm_train
 # must print byte-identical output whether batches are prepared inline
 # (--loader-workers=0) or by 1/4/8 producer workers at prefetch depths 1
-# and 16. Run by ctest as `loader_cli_identity`.
+# and 16. The output includes each epoch's val accuracy, so sampled
+# inference is checked too. Run by ctest as `loader_cli_identity`.
 set -euo pipefail
 
 TRAIN_BIN="${1:?usage: loader_identity.sh <path-to-gnndm_train>}"
@@ -25,11 +26,9 @@ run w4_d16 --loader-workers=4 --queue-depth=16
 run w8_d16 --loader-workers=8 --queue-depth=16
 # Compute-thread count composes with loader workers without changing a bit.
 run w4_t4 --loader-workers=4 --queue-depth=8 --threads=4
-# Legacy spelling must route through the same plane.
-run legacy_async --async=1
 
 status=0
-for variant in w1_d1 w4_d1 w4_d16 w8_d16 w4_t4 legacy_async; do
+for variant in w1_d1 w4_d1 w4_d16 w8_d16 w4_t4; do
   if ! diff -u "${WORKDIR}/baseline.out" "${WORKDIR}/${variant}.out"; then
     echo "FAIL: ${variant} output differs from inline baseline" >&2
     status=1
